@@ -234,7 +234,6 @@ def _solver_config(args) -> SolverConfig:
         eta0=args.eta0,
         tolerance=args.tolerance,
         averaging=args.averaging,
-        seed=args.seed,
         polish=args.polish,
     )
 
@@ -553,7 +552,7 @@ def main(argv=None) -> int:
     lines = [json.dumps(header, sort_keys=True)]
     try:
         records, source = _COMMANDS[args.command](args)
-    except (CliError, ValueError, OSError) as exc:
+    except Exception as exc:  # every failure still gets its error record and footer
         lines.append(json.dumps({"record": "error", "message": str(exc)}, sort_keys=True))
         lines.append(json.dumps({"record": "footer", "complete": False}, sort_keys=True))
         _write_report(args.out, lines)

@@ -18,7 +18,14 @@ from typing import Callable, Dict, List, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, LinearClassifier, NormSpec, classification_error, signed_margins
+from .core import (
+    Dataset,
+    LinearClassifier,
+    NormSpec,
+    classification_error,
+    norm_value,
+    signed_margins,
+)
 from .kernel import KernelClassifier, KernelSpec, kernel_diag, kernel_matrix
 from .matching import hopcroft_karp
 from .solver import SolverConfig, train_regularized
@@ -161,6 +168,11 @@ def _bound_report(gamma: float, c_norm_w: float, train_avg_hinge: float, abs_b: 
     )
 
 
+def _max_sample_norm(*sets: Dataset) -> float:
+    """Largest Euclidean norm of a sample in any of the sets."""
+    return max(float(norm_value(NormSpec.l2(), ds.X).max()) for ds in sets)
+
+
 def generalization_bound(clf: LinearClassifier, train: Dataset, test: Dataset, c: float,
                          pairing: PairingResult, K: float) -> BoundReport:
     """Evaluate the pairing-based error and hinge bounds for a linear
@@ -168,13 +180,10 @@ def generalization_bound(clf: LinearClassifier, train: Dataset, test: Dataset, c
     K must dominate ||x||_2 over both sample sets."""
     if pairing.m != len(train) or len(train) != len(test):
         raise ValueError("pairing size must match both datasets")
-    max_norm = max(
-        float(np.linalg.norm(train.X, axis=1).max()),
-        float(np.linalg.norm(test.X, axis=1).max()),
-    )
+    max_norm = _max_sample_norm(train, test)
     if K < max_norm - 1e-12:
         raise ValueError(f"K={K} is below the realized max sample norm {max_norm}")
-    w_norm = float(np.linalg.norm(clf.w))
+    w_norm = norm_value(NormSpec.l2(), clf.w)
     train_hinges = np.maximum(1.0 - signed_margins(clf, train), 0.0)
     test_margins = signed_margins(clf, test)
     test_error = classification_error(clf, test)
@@ -274,10 +283,7 @@ def run_consistency_experiment(generator: Callable[[np.random.Generator, int], D
             test = generator(rng, m)
             result = train_regularized(train, norm, c, cfg)
             pairing = max_pairings_exact(train, test, c)
-            K = max(
-                float(np.linalg.norm(train.X, axis=1).max()),
-                float(np.linalg.norm(test.X, axis=1).max()),
-            )
+            K = _max_sample_norm(train, test)
             report = generalization_bound(result.classifier, train, test, c, pairing, K)
             if not (report.error_bound_holds and report.hinge_bound_holds):
                 violations += 1

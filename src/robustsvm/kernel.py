@@ -1,9 +1,10 @@
-"""Kernels, Gram matrices, and RKHS-norm-regularized training in the
-representer coordinates.
+"""Kernels, Gram matrices, and RKHS-norm-regularized training.
 
-Feature vectors are never materialized: every feature-space quantity is
-computed through kernel evaluations and Gram algebra, so infinite
-dimensional feature spaces (Gaussian RBF) cost nothing extra.  The
+Feature-space quantities are computed through kernel evaluations and Gram
+algebra, so infinite dimensional feature spaces (Gaussian RBF) cost
+nothing extra.  Training is the one place that builds feature vectors: it
+runs the linear solver on the empirical feature map of the training set,
+whose dimension is the rank of the Gram matrix (at most m).  The
 indicator kernel (k = 1 iff the inputs are bitwise equal) is included as
 the classic non-smooth counterexample: it interpolates any training set
 yet predicts sgn(b) off-sample.
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Dataset, NormSpec
-from .solver import SolverConfig, polish_minimizer
+from .solver import SolverConfig, _subgradient_descent, polish_minimizer
 
 __all__ = [
     "KernelSpec",
@@ -177,84 +178,37 @@ class KernelClassifier:
         return float(np.maximum(1.0 - margins, 0.0).sum())
 
 
-def _check_gram(K: np.ndarray):
-    scale = max(1.0, float(np.abs(K).max()))
-    min_eig = float(np.linalg.eigvalsh(K).min())
-    if min_eig < -_GRAM_EIG_TOL * scale:
-        raise ValueError(f"Gram matrix is not PSD within tolerance (min eig {min_eig})")
-
-
 def train_kernel_regularized(ds: Dataset, spec: KernelSpec, c: float,
                              cfg: SolverConfig) -> KernelClassifier:
-    """Minimize c*sqrt(a'Ka) + total hinge over (a, b) by subgradient
-    descent in the representer coordinates, mirroring the linear solver
-    (zero start, eta0/sqrt(t) steps, best-iterate tracking, optional
-    averaging and polish).  Deterministic given the config."""
+    """Minimize c*sqrt(a'Ka) + total hinge over (a, b) as L2-regularized
+    linear training on the empirical feature map of rank r.
+
+    With K = V Lambda V' and the r eigenvalues above the cutoff kept, the
+    feature rows F = V Lambda^(1/2) give K = F F', and z = Lambda^(1/2) V' a
+    turns a'Ka into |z|^2 and Ka into F z.  The linear solver's descent (and
+    its polish when `cfg.polish`) runs on F; a = V (z / Lambda^(1/2)) maps
+    the result back.  Raises ValueError if K is not PSD within tolerance.
+    Deterministic given the config."""
     if c < 0:
         raise ValueError("c must be nonnegative")
     K = gram(spec, ds)
-    _check_gram(K)
-    m = len(ds)
-    y = ds.y.astype(float)
-
-    def objective(a, b):
-        margins = y * (K @ a + b)
-        return c * rkhs_norm(a, K) + float(np.maximum(1.0 - margins, 0.0).sum())
-
-    a = np.zeros(m)
-    b = 0.0
-    best_a, best_b = a.copy(), b
-    best_obj = objective(a, b)
-    sum_a, sum_b, n_avg = np.zeros(m), 0.0, 0
-    avg_start = cfg.max_iters // 2
-    last_significant = 0
-    for t in range(1, cfg.max_iters + 1):
-        Ka = K @ a
-        margins = y * (Ka + b)
-        obj = c * rkhs_norm(a, K) + float(np.maximum(1.0 - margins, 0.0).sum())
-        if obj < best_obj:
-            if best_obj - obj > cfg.tolerance:
-                last_significant = t
-            best_obj = obj
-            best_a, best_b = a.copy(), b
-        if t - last_significant >= 2000:
-            break
-        nrm = rkhs_norm(a, K)
-        ga = (c / nrm) * Ka if nrm > 0 else np.zeros(m)
-        active = margins < 1.0
-        gb = 0.0
-        if np.any(active):
-            ya = y * active
-            ga = ga - K @ ya
-            gb = -float(ya.sum())
-        step = cfg.eta0 / math.sqrt(t)
-        a = a - step * ga
-        b = b - step * gb
-        if cfg.averaging and t > avg_start:
-            sum_a += a
-            sum_b += b
-            n_avg += 1
-    if cfg.averaging and n_avg > 0:
-        aa, ab = sum_a / n_avg, sum_b / n_avg
-        if objective(aa, ab) < best_obj:
-            best_a, best_b, best_obj = aa, ab, float(objective(aa, ab))
+    eigvals, eigvecs = np.linalg.eigh(K)
+    scale = max(1.0, float(np.abs(K).max()))
+    if eigvals[0] < -_GRAM_EIG_TOL * scale:
+        raise ValueError(f"Gram matrix is not PSD within tolerance (min eig {eigvals[0]})")
+    keep = eigvals > max(1e-12, 1e-12 * float(eigvals[-1]))
+    if not np.any(keep):
+        # No feature survives, so a = 0 and only the offset is free; the
+        # total hinge is then minimized at b = sign(sum y).
+        return KernelClassifier(alphas=np.zeros(len(ds)), offset=float(np.sign(ds.y.sum())),
+                                anchors=ds, spec=spec)
+    root = np.sqrt(eigvals[keep])
+    V = eigvecs[:, keep]
+    features = Dataset.from_arrays(V * root[None, :], ds.y)
+    z, b, _, _, _ = _subgradient_descent(features, NormSpec.l2(), c, cfg)
     if cfg.polish:
-        # In the Gram eigenbasis the problem is an L2-regularized linear one
-        # over the empirical kernel map, so the linear polish applies as is:
-        # z = Lambda^(1/2) V' a  gives  a'Ka = |z|^2  and  Ka = F z  with
-        # feature rows F = V Lambda^(1/2).
-        eigvals, eigvecs = np.linalg.eigh(K)
-        keep = eigvals > max(1e-12, 1e-12 * float(eigvals.max()))
-        if np.any(keep):
-            root = np.sqrt(eigvals[keep])
-            F = eigvecs[:, keep] * root[None, :]
-            feature_ds = Dataset.from_arrays(F, ds.y)
-            z0 = root * (eigvecs[:, keep].T @ best_a)
-            z, zb, zobj = polish_minimizer(feature_ds, NormSpec.l2(), c, z0, best_b)
-            if zobj < best_obj:
-                best_a = eigvecs[:, keep] @ (z / root)
-                best_b, best_obj = zb, zobj
-    return KernelClassifier(alphas=best_a, offset=best_b, anchors=ds, spec=spec)
+        z, b, _ = polish_minimizer(features, NormSpec.l2(), c, z, b)
+    return KernelClassifier(alphas=V @ (z / root), offset=b, anchors=ds, spec=spec)
 
 
 def feature_distance(spec: KernelSpec, x, xp) -> float:

@@ -50,7 +50,6 @@ class SolverConfig:
     eta0: float = 0.5
     tolerance: float = 1e-10
     averaging: bool = True
-    seed: int = 0
     polish: bool = True
 
     def __post_init__(self):

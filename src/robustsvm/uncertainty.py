@@ -13,6 +13,7 @@ deterministic discretization of the feasible disturbance set.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -294,7 +295,7 @@ def _unit_directions(n: int, resolution: int, w=None) -> np.ndarray:
         parts.append(corners)
     if w is not None:
         w = np.asarray(w, dtype=float)
-        nw = np.linalg.norm(w)
+        nw = norm_value(NormSpec.l2(), w)
         if nw > 0:
             parts.append(np.vstack([w / nw, -w / nw]))
     return np.vstack(parts)
@@ -311,21 +312,14 @@ def _alloc_denominator(m: int, resolution: int, cap: int = _ALLOC_CAP) -> int:
 
 @lru_cache(maxsize=32)
 def _simplex_grid(m: int, q: int) -> np.ndarray:
-    """All points of the uniform simplex grid {k/q : k integer >= 0, sum k = q}."""
-    out = np.zeros((math.comb(q + m - 1, m - 1), m))
-    idx = 0
+    """All points of the uniform simplex grid {k/q : k integer >= 0, sum k = q},
+    in lexicographic order of k.
 
-    def fill(prefix, remaining, pos):
-        nonlocal idx
-        if pos == m - 1:
-            out[idx, :pos] = prefix
-            out[idx, pos] = remaining
-            idx += 1
-            return
-        for k in range(remaining + 1):
-            fill(prefix + [k], remaining - k, pos + 1)
-
-    fill([], q, 0)
+    Stars and bars: each choice of m - 1 bar positions among q + m - 1 slots
+    gives the counts k as the gaps between consecutive bars."""
+    bars = np.array(list(itertools.combinations(range(q + m - 1), m - 1)), dtype=np.int64)
+    bars = bars.reshape(math.comb(q + m - 1, m - 1), m - 1)
+    out = np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, q + m - 1)), axis=1) - 1.0
     out /= q
     out.flags.writeable = False
     return out

@@ -116,7 +116,7 @@ def test_02_robust_training_equals_regularized():
         cases = [(42, 2.0, 0.5, 12), (7, 1.0, 0.5, 12), (3, 0.8, 1.0, 10), (19, 1.5, 0.7, 8)]
         for seed, sep, c, m in cases:
             ds = gaussian_blobs(m, seed, dim=2, separation=sep, scale=1.0)
-            cfg = SolverConfig(seed=seed)
+            cfg = SolverConfig()
             robust = train_robust(ds, SublinearSet(AtomicSet(norm, c)), cfg)
             direct = train_regularized(ds, norm, c, cfg)
             assert abs(robust.objective - direct.objective) <= 1e-9
@@ -176,7 +176,7 @@ def test_05_bayesian_tuning():
             <= 1e-12
         )
         ds = gaussian_blobs(12, 5, dim=2, separation=1.0)
-        cfg = SolverConfig(max_iters=4000, seed=1)
+        cfg = SolverConfig(max_iters=4000)
         c_bar = bayes_regularizer(BudgetPrior.point_mass(0.7))
         at_cbar = train_regularized(ds, NormSpec.l2(), c_bar, cfg)
         at_fixed = train_regularized(ds, NormSpec.l2(), 0.7, cfg)
@@ -318,7 +318,7 @@ def test_11_solver_numerics():
             fp = objective_value(ds, norm, c, wp, bp)
             assert fp >= f0 + gw @ (wp - w) + gb * (bp - b) - 1e-9
             checked += 1
-        cfg = SolverConfig(max_iters=2000, seed=3)
+        cfg = SolverConfig(max_iters=2000)
         a = train_regularized(ds, NormSpec.l2(), 0.5, cfg)
         b_run = train_regularized(ds, NormSpec.l2(), 0.5, cfg)
         assert a.classifier.w.tobytes() == b_run.classifier.w.tobytes()

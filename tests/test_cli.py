@@ -1,5 +1,6 @@
 import json
 
+from robustsvm import cli
 from robustsvm import NormSpec, SolverConfig, gaussian_blobs, train_regularized
 from robustsvm.cli import main
 from robustsvm.data import save_dataset, save_model
@@ -108,7 +109,7 @@ def test_calibrate_bayes_point_mass_trains_at_c(tmp_path):
     assert cal["c_bar"] == 0.7
     trained = [r for r in records if r["record"] == "train_result"][0]
     direct = train_regularized(
-        gaussian_blobs(10, 6), NormSpec.l2(), 0.7, SolverConfig(max_iters=1500, seed=0)
+        gaussian_blobs(10, 6), NormSpec.l2(), 0.7, SolverConfig(max_iters=1500)
     )
     assert trained["objective"] == direct.objective
     assert trained["w"] == direct.classifier.w.tolist()
@@ -201,3 +202,15 @@ def test_stdout_output(capsys):
     lines = [json.loads(l) for l in out.strip().split("\n")]
     assert lines[0]["record"] == "header"
     assert any(r.get("c_bar") == 0.5 for r in lines)
+
+
+def test_unexpected_command_failure_still_writes_error_and_footer(tmp_path, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "train", broken)
+    code, records = run_cli(["train", "--synthetic", "gaussian-blobs", "--m", "6"],
+                            tmp_path / "report.jsonl")
+    assert code == 1
+    assert records[-2] == {"record": "error", "message": "boom"}
+    assert records[-1] == {"record": "footer", "complete": False}

@@ -10,6 +10,7 @@ from robustsvm import (
     KernelSpec,
     LinearClassifier,
     NormSpec,
+    PairingResult,
     SolverConfig,
     brick_pairing_lower_bound,
     gaussian_blobs,
@@ -169,6 +170,17 @@ def test_generalization_bound_validates_K():
     pairing = max_pairings_exact(train, train, c=1.0)
     with pytest.raises(ValueError):
         generalization_bound(LinearClassifier([1.0, 0.0], 0.0), train, train, 1.0, pairing, 1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_generalization_bound_with_huge_and_tiny_norms():
+    # Squaring entries above about 1e154 overflowed the sample norms to inf,
+    # and squaring a tiny w underflowed its norm to 0.
+    train = Dataset.from_arrays([[1e160, 0.0], [-1e160, 0.0]], [1, -1])
+    pairing = PairingResult(m=2, matched=2, gamma=0.0, method=PairingResult.EXACT)
+    report = generalization_bound(LinearClassifier([1e-200, 0.0], 0.0), train, train,
+                                  1.0, pairing, 2e160)
+    assert report.components[1] == pytest.approx(1e-200)
 
 
 def test_bound_holds_on_seeded_draws():

@@ -137,15 +137,25 @@ def test_rbf_feature_radius_examples():
 
 
 def test_train_kernel_linear_matches_l2():
-    ds = gaussian_blobs(12, 5, dim=2, separation=1.0, scale=1.0)
-    c = 0.5
-    cfg = SolverConfig(max_iters=30000)
-    lin = train_regularized(ds, NormSpec.l2(), c, cfg)
-    kc = train_kernel_regularized(ds, KernelSpec.linear(), c, cfg)
-    dv_lin = ds.X @ lin.classifier.w + lin.classifier.b
-    assert np.abs(dv_lin - kc.decision_values(ds.X)).max() <= 1e-3
-    obj_k = c * kc.norm() + kc.total_hinge(ds)
-    assert obj_k == pytest.approx(lin.objective, abs=1e-6)
+    for dim in (2, 3):
+        ds = gaussian_blobs(12, 5, dim=dim, separation=1.0, scale=1.0)
+        c = 0.5
+        cfg = SolverConfig(max_iters=30000)
+        lin = train_regularized(ds, NormSpec.l2(), c, cfg)
+        kc = train_kernel_regularized(ds, KernelSpec.linear(), c, cfg)
+        dv_lin = ds.X @ lin.classifier.w + lin.classifier.b
+        assert np.abs(dv_lin - kc.decision_values(ds.X)).max() <= 1e-3
+        obj_k = c * kc.norm() + kc.total_hinge(ds)
+        assert obj_k == pytest.approx(lin.objective, abs=1e-6)
+
+
+def test_train_kernel_without_features_returns_the_best_offset():
+    # A zero Gram matrix keeps no eigen-feature: a = 0, and the offset alone
+    # minimizes the total hinge, 2 * min(#positive, #negative) = 6.
+    ds = Dataset.from_arrays(np.zeros((7, 2)), [1, 1, 1, 1, -1, -1, -1])
+    kc = train_kernel_regularized(ds, KernelSpec.linear(), 0.5, SolverConfig())
+    assert np.all(kc.alphas == 0.0)
+    assert kc.total_hinge(ds) == pytest.approx(6.0, abs=1e-6)
 
 
 def test_train_kernel_separable_hinge_to_zero():

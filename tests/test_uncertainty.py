@@ -20,6 +20,7 @@ from robustsvm import (
     worst_case_loss_lower,
     worst_case_loss_upper,
 )
+from robustsvm.uncertainty import _best_direction_gain
 
 PAIR_1D = Dataset.from_arrays([[1.0], [1.0]], [1, -1])
 CLF_1D = LinearClassifier([1.0], 0.0)
@@ -180,6 +181,27 @@ def test_brute_force_monotone_in_resolution():
         vals = [brute_force_worst_case(clf, ds, s, res) for res in (25, 50, 100, 200)]
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 1e-12
+
+
+def test_brute_force_sum_budget_on_a_large_set():
+    # The allocation grid was built by recursion to depth m, which overflowed
+    # the interpreter's stack at m of about 1000.
+    rng = np.random.default_rng(11)
+    m = 1200
+    ds = Dataset.from_arrays(rng.standard_normal((m, 2)), rng.choice([-1, 1], m))
+    clf = LinearClassifier([0.8, -0.5], 0.1)
+    s = SublinearSet(L2_HALF)
+    brute = brute_force_worst_case(clf, ds, s, 50)
+    assert worst_case_loss_lower(clf, ds, s) - 1e-9 <= brute <= worst_case_loss_upper(clf, ds, s) + 1e-9
+
+
+def test_direction_grid_keeps_tiny_w_exact():
+    # +-w/|w| must survive for tiny w, where the plain sum of squares underflows.
+    atomic = AtomicSet(NormSpec.l2(), 1.0)
+    for w in ([1.0, 3.0, 2.0], [1e-200, 3e-200, 2e-200]):
+        w = np.array(w)
+        ratio = _best_direction_gain(atomic, w, 4) / support_function(atomic, w)
+        assert ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_brute_force_cap():
