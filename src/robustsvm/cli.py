@@ -69,11 +69,7 @@ def _bool_flag(value: str) -> bool:
 
 
 def _add_solver_args(sp):
-    sp.add_argument("--max-iters", type=int, default=20000)
-    sp.add_argument("--eta0", type=float, default=0.5)
-    sp.add_argument("--tolerance", type=float, default=1e-10)
-    sp.add_argument("--averaging", type=_bool_flag, default=True)
-    sp.add_argument("--polish", type=_bool_flag, default=True)
+    sp.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
 
 
 def _add_data_args(sp):
@@ -229,13 +225,7 @@ def _resolve_dataset(args):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iters=args.max_iters,
-        eta0=args.eta0,
-        tolerance=args.tolerance,
-        averaging=args.averaging,
-        polish=args.polish,
-    )
+    return SolverConfig(tolerance=args.tolerance)
 
 
 def _train_record(ds, norm, c, cfg, label="train_result"):
@@ -247,6 +237,7 @@ def _train_record(ds, norm, c, cfg, label="train_result"):
         "w": clf.w.tolist(),
         "b": clf.b,
         "objective": result.objective,
+        "lower_bound": result.lower_bound,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
         "separable": result.separable,

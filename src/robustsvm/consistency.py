@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-12
+_PAIR_BLOCK = 256  # train rows whose distances to the test set are held at once
 
 
 @dataclass(frozen=True)
@@ -83,20 +84,18 @@ def max_pairings_exact(train: Dataset, test: Dataset, c: float,
         raise ValueError("train and test must have the same size")
     if train.dim != test.dim:
         raise ValueError("train and test must share dimension")
-    if isinstance(metric, KernelSpec):
-        sq = _feature_sq_distances(metric, train.X, test.X)
-        within = sq <= c * c + _EDGE_TOL
-    else:
-        if metric != "sample":
-            raise ValueError(f"unknown metric {metric!r}")
-        sq = (
-            (train.X * train.X).sum(axis=1)[:, None]
-            + (test.X * test.X).sum(axis=1)[None, :]
-            - 2.0 * (train.X @ test.X.T)
-        )
-        within = sq <= c * c + _EDGE_TOL
-    same_label = train.y[:, None] == test.y[None, :]
-    adj = [np.nonzero(within[i] & same_label[i])[0].tolist() for i in range(len(train))]
+    if not isinstance(metric, KernelSpec) and metric != "sample":
+        raise ValueError(f"unknown metric {metric!r}")
+    adj = []
+    for start in range(0, len(train), _PAIR_BLOCK):
+        rows = train.X[start:start + _PAIR_BLOCK]
+        if isinstance(metric, KernelSpec):
+            sq = _feature_sq_distances(metric, rows, test.X)
+        else:  # from coordinate differences, which do not cancel at large coordinates
+            with np.errstate(over="ignore"):  # a gap too large to square is no edge
+                sq = sum((rows[:, k, None] - test.X[None, :, k]) ** 2 for k in range(train.dim))
+        same_label = train.y[start:start + _PAIR_BLOCK, None] == test.y[None, :]
+        adj.extend(np.nonzero(row)[0].tolist() for row in (sq <= c * c + _EDGE_TOL) & same_label)
     matched, _ = hopcroft_karp(len(train), len(test), adj)
     return _pair_counts(len(train), matched, PairingResult.EXACT)
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Dataset, NormSpec
-from .solver import SolverConfig, _subgradient_descent, polish_minimizer
+from .solver import SolverConfig, _solve
 
 __all__ = [
     "KernelSpec",
@@ -185,10 +185,10 @@ def train_kernel_regularized(ds: Dataset, spec: KernelSpec, c: float,
 
     With K = V Lambda V' and the r eigenvalues above the cutoff kept, the
     feature rows F = V Lambda^(1/2) give K = F F', and z = Lambda^(1/2) V' a
-    turns a'Ka into |z|^2 and Ka into F z.  The linear solver's descent (and
-    its polish when `cfg.polish`) runs on F; a = V (z / Lambda^(1/2)) maps
-    the result back.  Raises ValueError if K is not PSD within tolerance.
-    Deterministic given the config."""
+    turns a'Ka into |z|^2 and Ka into F z.  The linear solver's certified
+    interior-point method runs on F until its gap is within
+    `cfg.tolerance`; a = V (z / Lambda^(1/2)) maps the result back.  Raises
+    ValueError if K is not PSD within tolerance.  Deterministic."""
     if c < 0:
         raise ValueError("c must be nonnegative")
     K = gram(spec, ds)
@@ -196,18 +196,10 @@ def train_kernel_regularized(ds: Dataset, spec: KernelSpec, c: float,
     scale = max(1.0, float(np.abs(K).max()))
     if eigvals[0] < -_GRAM_EIG_TOL * scale:
         raise ValueError(f"Gram matrix is not PSD within tolerance (min eig {eigvals[0]})")
-    keep = eigvals > max(1e-12, 1e-12 * float(eigvals[-1]))
-    if not np.any(keep):
-        # No feature survives, so a = 0 and only the offset is free; the
-        # total hinge is then minimized at b = sign(sum y).
-        return KernelClassifier(alphas=np.zeros(len(ds)), offset=float(np.sign(ds.y.sum())),
-                                anchors=ds, spec=spec)
+    keep = eigvals > max(1e-12, 1e-12 * float(eigvals[-1]))  # none for K = 0: a = 0
     root = np.sqrt(eigvals[keep])
     V = eigvecs[:, keep]
-    features = Dataset.from_arrays(V * root[None, :], ds.y)
-    z, b, _, _, _ = _subgradient_descent(features, NormSpec.l2(), c, cfg)
-    if cfg.polish:
-        z, b, _ = polish_minimizer(features, NormSpec.l2(), c, z, b)
+    z, b = _solve(V * root[None, :], ds.y, NormSpec.L2, c, cfg.tolerance)[:2]
     return KernelClassifier(alphas=V @ (z / root), offset=b, anchors=ds, spec=spec)
 
 

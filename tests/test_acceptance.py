@@ -176,7 +176,7 @@ def test_05_bayesian_tuning():
             <= 1e-12
         )
         ds = gaussian_blobs(12, 5, dim=2, separation=1.0)
-        cfg = SolverConfig(max_iters=4000)
+        cfg = SolverConfig()
         c_bar = bayes_regularizer(BudgetPrior.point_mass(0.7))
         at_cbar = train_regularized(ds, NormSpec.l2(), c_bar, cfg)
         at_fixed = train_regularized(ds, NormSpec.l2(), 0.7, cfg)
@@ -242,7 +242,7 @@ def test_07_radial_kernel_feature_ball_bound():
 def test_08_generalization_bound():
     with criterion(8, "pairing generalization bound"):
         start = time.time()
-        cfg = SolverConfig(max_iters=1500)
+        cfg = SolverConfig()
         c = 0.3
         for draw in range(100):
             rng = derived_rng(808, draw)
@@ -272,7 +272,7 @@ def test_09_consistency_trend():
             sizes=[50, 200, 800],
             c_schedule=lambda m: max(m ** (-1.0 / 8.0), 0.05),
             trials=20,
-            cfg=SolverConfig(max_iters=3000),
+            cfg=SolverConfig(),
             seed=0,
         )
         gammas = [report.median_gamma[m] for m in (50, 200, 800)]
@@ -285,7 +285,7 @@ def test_09_consistency_trend():
 
 def test_10_pathological_kernel():
     with criterion(10, "pathological kernel"):
-        cfg = SolverConfig(max_iters=3000, polish=False)
+        cfg = SolverConfig()
         for trial in range(10):
             rng = derived_rng(1010, trial)
             train = gaussian_blobs(200, rng, dim=2, separation=2.0, scale=1.0)
@@ -318,7 +318,7 @@ def test_11_solver_numerics():
             fp = objective_value(ds, norm, c, wp, bp)
             assert fp >= f0 + gw @ (wp - w) + gb * (bp - b) - 1e-9
             checked += 1
-        cfg = SolverConfig(max_iters=2000)
+        cfg = SolverConfig()
         a = train_regularized(ds, NormSpec.l2(), 0.5, cfg)
         b_run = train_regularized(ds, NormSpec.l2(), 0.5, cfg)
         assert a.classifier.w.tobytes() == b_run.classifier.w.tobytes()

@@ -20,7 +20,7 @@ def test_train_subcommand_report(tmp_path):
     out = tmp_path / "report.jsonl"
     code, records = run_cli(
         ["train", "--synthetic", "gaussian-blobs", "--m", "12", "--c", "0.4",
-         "--max-iters", "2000", "--seed", "3"],
+         "--seed", "3"],
         out,
     )
     assert code == 0
@@ -34,7 +34,7 @@ def test_train_subcommand_report(tmp_path):
 
 def test_report_determinism(tmp_path):
     args = ["train", "--synthetic", "gaussian-blobs", "--m", "10", "--c", "0.3",
-            "--max-iters", "1000", "--seed", "9"]
+            "--seed", "9"]
     _, rec_a = run_cli(args, tmp_path / "a.jsonl")
     _, rec_b = run_cli(args, tmp_path / "b.jsonl")
     body_a = [json.dumps(r, sort_keys=True) for r in result_records(rec_a)]
@@ -44,7 +44,7 @@ def test_report_determinism(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("synthetic=gaussian-blobs\nm=10\nc=0.25\nmax-iters=500\nseed=2\n")
+    cfg.write_text("synthetic=gaussian-blobs\nm=10\nc=0.25\nseed=2\n")
     out1 = tmp_path / "o1.jsonl"
     code, records = run_cli(["train", "--config", str(cfg)], out1)
     assert code == 0
@@ -77,7 +77,7 @@ def test_zero_one_mapping_flagged_in_header(tmp_path):
     data = tmp_path / "zo.libsvm"
     data.write_text("0 1:1.0 2:0.5\n1 1:-1.0 2:0.25\n")
     out = tmp_path / "r.jsonl"
-    code, records = run_cli(["train", "--data", str(data), "--max-iters", "200"], out)
+    code, records = run_cli(["train", "--data", str(data)], out)
     assert code == 0
     assert records[0]["data"]["zero_one_labels_mapped"] is True
 
@@ -101,7 +101,7 @@ def test_calibrate_bayes_point_mass_trains_at_c(tmp_path):
     out = tmp_path / "cal.jsonl"
     code, records = run_cli(
         ["calibrate", "--mode", "bayes", "--prior", "point:0.7", "--train", "true",
-         "--data", str(data), "--max-iters", "1500", "--seed", "0"],
+         "--data", str(data), "--seed", "0"],
         out,
     )
     assert code == 0
@@ -109,7 +109,7 @@ def test_calibrate_bayes_point_mass_trains_at_c(tmp_path):
     assert cal["c_bar"] == 0.7
     trained = [r for r in records if r["record"] == "train_result"][0]
     direct = train_regularized(
-        gaussian_blobs(10, 6), NormSpec.l2(), 0.7, SolverConfig(max_iters=1500)
+        gaussian_blobs(10, 6), NormSpec.l2(), 0.7, SolverConfig()
     )
     assert trained["objective"] == direct.objective
     assert trained["w"] == direct.classifier.w.tolist()
@@ -137,7 +137,7 @@ def test_robust_eval_subcommand(tmp_path):
     data = tmp_path / "d.libsvm"
     save_dataset(ds, data)
     model = tmp_path / "m.json"
-    result = train_regularized(ds, NormSpec.l2(), 0.3, SolverConfig(max_iters=1000))
+    result = train_regularized(ds, NormSpec.l2(), 0.3, SolverConfig())
     save_model(model, result.classifier)
     out = tmp_path / "re.jsonl"
     code, records = run_cli(
@@ -156,7 +156,7 @@ def test_kernel_train_subcommand(tmp_path):
     out = tmp_path / "kt.jsonl"
     code, records = run_cli(
         ["kernel-train", "--synthetic", "gaussian-blobs", "--m", "10", "--kernel", "rbf",
-         "--gamma", "0.8", "--c", "0.2", "--max-iters", "800", "--seed", "5"],
+         "--gamma", "0.8", "--c", "0.2", "--seed", "5"],
         out,
     )
     assert code == 0
@@ -168,7 +168,7 @@ def test_kernel_train_subcommand(tmp_path):
 def test_consistency_exp_subcommand(tmp_path):
     out = tmp_path / "ce.jsonl"
     code, records = run_cli(
-        ["consistency-exp", "--sizes", "20,60", "--trials", "3", "--max-iters", "800",
+        ["consistency-exp", "--sizes", "20,60", "--trials", "3",
          "--seed", "0"],
         out,
     )
@@ -185,8 +185,8 @@ def test_consistency_exp_subcommand(tmp_path):
 def test_pathological_demo_subcommand(tmp_path):
     out = tmp_path / "pd.jsonl"
     code, records = run_cli(
-        ["pathological-demo", "--m", "60", "--trials", "2", "--max-iters", "1500",
-         "--polish", "false", "--seed", "0"],
+        ["pathological-demo", "--m", "60", "--trials", "2",
+         "--seed", "0"],
         out,
     )
     assert code == 0

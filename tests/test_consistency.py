@@ -183,8 +183,21 @@ def test_generalization_bound_with_huge_and_tiny_norms():
     assert report.components[1] == pytest.approx(1e-200)
 
 
+def test_pairing_distances_do_not_cancel_at_large_coordinates():
+    # |x|^2 + |x'|^2 - 2 x.x' lost every digit of a 0.99 gap near 1e8 and
+    # overflowed to inf - inf = nan above about 1e154.
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        x = 1e8 * (1.0 + rng.uniform(-1.0, 1.0, 2))
+        d = rng.standard_normal(2)
+        near = Dataset.from_arrays([x + 0.99 * d / np.linalg.norm(d)], [1])
+        assert max_pairings_exact(Dataset.from_arrays([x], [1]), near, 1.0).matched == 1
+    far = Dataset.from_arrays([[1e160, 0.0], [-1e160, 0.0]], [1, 1])
+    assert max_pairings_exact(far, far, 1.0).matched == 2
+
+
 def test_bound_holds_on_seeded_draws():
-    cfg = SolverConfig(max_iters=1500)
+    cfg = SolverConfig()
     for seed in range(25):
         rng = np.random.default_rng(seed)
         train = gaussian_blobs(30, rng, dim=2, separation=1.5)
@@ -207,7 +220,7 @@ def test_kernel_bound_reduction_and_rbf_radius_translation():
     profile = lambda t: np.exp(-gamma * t * t)
     train = gaussian_blobs(20, 7, dim=2, separation=1.5)
     test = gaussian_blobs(20, 8, dim=2, separation=1.5)
-    kc = train_kernel_regularized(train, spec, 0.3, SolverConfig(max_iters=2000, polish=False))
+    kc = train_kernel_regularized(train, spec, 0.3, SolverConfig())
 
     c_sample = 0.5
     c_feature = rbf_feature_radius(profile, c_sample)
@@ -229,7 +242,7 @@ def test_kernel_bound_holds_on_seeded_draws():
     gamma = 1.0
     spec = KernelSpec.rbf(gamma)
     profile = lambda t: np.exp(-gamma * t * t)
-    cfg = SolverConfig(max_iters=1200, polish=False)
+    cfg = SolverConfig()
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         train = gaussian_blobs(24, rng, dim=2, separation=1.2)
@@ -248,7 +261,7 @@ def test_consistency_experiment_degenerate_generator():
         y = np.tile([1, -1], m // 2)
         return Dataset.from_arrays(X, y)
 
-    cfg = SolverConfig(max_iters=500)
+    cfg = SolverConfig()
     report = run_consistency_experiment(gen, [4, 8], lambda m: 0.5, 3, cfg, seed=0)
     assert all(r.gamma == 0.0 for r in report.records)
     assert all(r.test_error == 0.0 for r in report.records)
@@ -259,7 +272,7 @@ def test_consistency_experiment_trend_small():
     def gen(rng, m):
         return gaussian_blobs(m, rng, dim=2, separation=2.0, scale=1.0)
 
-    cfg = SolverConfig(max_iters=1500)
+    cfg = SolverConfig()
     report = run_consistency_experiment(
         gen, [30, 120], lambda m: max(m ** -0.125, 0.05), 8, cfg, seed=0
     )
@@ -272,7 +285,7 @@ def test_consistency_sizes_must_increase():
     with pytest.raises(ValueError):
         run_consistency_experiment(
             lambda rng, m: gaussian_blobs(m, rng), [100, 50], lambda m: 0.1, 1,
-            SolverConfig(max_iters=10), seed=0
+            SolverConfig(), seed=0
         )
 
 
@@ -281,7 +294,7 @@ def test_pathological_kernel_small():
     train = gaussian_blobs(60, rng, dim=2, separation=2.0)
     test = gaussian_blobs(60, rng, dim=2, separation=2.0)
     kc = train_kernel_regularized(train, KernelSpec.indicator(), 0.01,
-                                  SolverConfig(max_iters=2000, polish=False))
+                                  SolverConfig())
     assert kc.total_hinge(train) < 0.1
     # off-sample decisions collapse to sgn(offset): near-coin-flip error
     assert 0.4 <= kc.error(test) <= 0.6

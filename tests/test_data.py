@@ -144,7 +144,7 @@ def test_model_dump_round_trip(tmp_path):
 
     ds = gaussian_blobs(6, 3)
     kc = train_kernel_regularized(ds, KernelSpec.rbf(0.5), 0.1,
-                                  SolverConfig(max_iters=200, polish=False))
+                                  SolverConfig())
     kp = tmp_path / "kernel.json"
     save_model(kp, kc)
     loaded_k = load_model(kp)

@@ -140,13 +140,27 @@ def test_train_kernel_linear_matches_l2():
     for dim in (2, 3):
         ds = gaussian_blobs(12, 5, dim=dim, separation=1.0, scale=1.0)
         c = 0.5
-        cfg = SolverConfig(max_iters=30000)
+        cfg = SolverConfig()
         lin = train_regularized(ds, NormSpec.l2(), c, cfg)
         kc = train_kernel_regularized(ds, KernelSpec.linear(), c, cfg)
         dv_lin = ds.X @ lin.classifier.w + lin.classifier.b
         assert np.abs(dv_lin - kc.decision_values(ds.X)).max() <= 1e-3
         obj_k = c * kc.norm() + kc.total_hinge(ds)
         assert obj_k == pytest.approx(lin.objective, abs=1e-6)
+
+
+def test_train_kernel_poly3_matches_l2_on_explicit_features():
+    # Polish stopped 1e-4 above this optimum (feature rank 4).
+    ds = gaussian_blobs(40, 0, dim=2, separation=1.0)
+    c = 0.5
+    x1, x2 = ds.X[:, 0], ds.X[:, 1]
+    r3 = math.sqrt(3.0)
+    phi = np.column_stack([x1 ** 3, r3 * x1 * x1 * x2, r3 * x1 * x2 * x2, x2 ** 3])
+    lin = train_regularized(Dataset.from_arrays(phi, ds.y), NormSpec.l2(), c, SolverConfig())
+    kc = train_kernel_regularized(ds, KernelSpec.poly(3), c, SolverConfig())
+    obj_k = c * kc.norm() + kc.total_hinge(ds)
+    assert obj_k == pytest.approx(lin.objective, rel=1e-8)
+    assert obj_k >= lin.lower_bound
 
 
 def test_train_kernel_without_features_returns_the_best_offset():
@@ -160,14 +174,14 @@ def test_train_kernel_without_features_returns_the_best_offset():
 
 def test_train_kernel_separable_hinge_to_zero():
     ds = gaussian_blobs(10, 1, dim=2, separation=6.0, scale=0.4)
-    kc = train_kernel_regularized(ds, KernelSpec.rbf(0.5), 0.0, SolverConfig(max_iters=5000))
+    kc = train_kernel_regularized(ds, KernelSpec.rbf(0.5), 0.0, SolverConfig())
     assert kc.total_hinge(ds) < 1e-4
 
 
 def test_train_kernel_indicator_interpolates():
     ds = gaussian_blobs(20, 9, dim=2, separation=1.0)
     kc = train_kernel_regularized(ds, KernelSpec.indicator(), 0.05,
-                                  SolverConfig(max_iters=3000, polish=False))
+                                  SolverConfig())
     assert kc.total_hinge(ds) < 0.1
     # the explicit representer alphas = y * (1 + eps) achieve margin > 1
     explicit = KernelClassifier(alphas=1.1 * ds.y.astype(float), offset=0.0, anchors=ds,

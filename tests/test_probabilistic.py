@@ -160,7 +160,7 @@ def test_coverage_soundness_adversarial():
 
 def test_training_at_bayes_budget_is_bit_identical():
     ds = gaussian_blobs(10, 6, dim=2, separation=1.0)
-    cfg = SolverConfig(max_iters=2000)
+    cfg = SolverConfig()
     c_bar = bayes_regularizer(BudgetPrior.point_mass(0.7))
     a = train_regularized(ds, NormSpec.l2(), c_bar, cfg)
     b = train_regularized(ds, NormSpec.l2(), 0.7, cfg)
